@@ -54,7 +54,7 @@ def make_buffer(kind):
         buffer = cls(capacity=CAPACITY)
     else:
         buffer = cls(capacity=CAPACITY, threshold=0, seed=1)
-    buffer.put_many(RECORDS)
+    buffer.put_many(CHUNK)
     return buffer
 
 

@@ -11,7 +11,7 @@ implemented once, here.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -25,41 +25,7 @@ __all__ = [
     "ColumnBatch",
     "TrainingBuffer",
     "BufferClosedError",
-    "contiguous_rows",
 ]
-
-
-def contiguous_rows(arrays: List[Array]) -> Optional[Array]:
-    """Zero-copy ``(n, ...)`` view over rows that are physically consecutive.
-
-    The columnar path hands every record of a gathered batch a view into one
-    shared block (the batch's inputs/targets matrices).  When such records
-    are kept in order their rows still sit back to back in memory, and
-    stacking them for the nn forward pass needs no copy at all: this helper
-    detects that case and returns a strided view over the underlying block.
-    Returns ``None`` whenever the rows are not provably consecutive
-    same-layout views of one base buffer (the caller then falls back to a
-    gathering copy).
-    """
-    first = arrays[0]
-    base = first.base
-    if base is None or not first.flags.c_contiguous:
-        return None
-    row_nbytes = first.nbytes
-    shape = first.shape
-    dtype = first.dtype
-    ptr = first.__array_interface__["data"][0]
-    for row in arrays[1:]:
-        if (row.base is not base or row.dtype != dtype
-                or row.shape != shape or not row.flags.c_contiguous):
-            return None
-        next_ptr = row.__array_interface__["data"][0]
-        if next_ptr != ptr + row_nbytes:
-            return None
-        ptr = next_ptr
-    return np.lib.stride_tricks.as_strided(
-        first, shape=(len(arrays),) + shape, strides=(row_nbytes,) + first.strides
-    )
 
 
 class TrainingBuffer:
@@ -86,9 +52,9 @@ class TrainingBuffer:
     * :meth:`_draw_slots_locked` — pick a batch of slots with one vectorized
       RNG call, matching the per-sample path draw for draw.
 
-    The base class turns slots into data: :meth:`put_many` accepts either a
-    record list or a :class:`ColumnBatch` (whose columns are written with
-    one fancy-indexed write per column), and :meth:`get_batch_columns`
+    The base class turns slots into data: :meth:`put_many` writes a
+    :class:`ColumnBatch` with one fancy-indexed write per column (:meth:`put`
+    and :meth:`try_put` are one-row calls to it), and :meth:`get_batch_columns`
     returns the drained rows as a ``ColumnBatch`` gathered under the lock —
     crucially *before* the slots can be rewritten, so the batch owns its
     rows.  :meth:`get_batch` is the same draw delivered as the
@@ -172,43 +138,18 @@ class TrainingBuffer:
 
     def put(self, record: SampleRecord, timeout: Optional[float] = None) -> None:
         """Insert a new sample, blocking while the buffer cannot accept it."""
-        with self._lock:
-            if self._closed:
-                raise BufferClosedError("cannot put into a closed buffer")
-            if not self._lock.wait_for(
-                lambda: self._can_put_locked() or self._closed, timeout=timeout
-            ):
-                raise TimeoutError("timed out waiting for buffer space")
-            if self._closed:
-                raise BufferClosedError("buffer closed while waiting to put")
-            slots = self._take_slots_locked(1)
-            self._store.write_record(int(slots[0]), record)
-            self.total_put += 1
-            self._lock.notify_all()
+        if not self.put_many(ColumnBatch.from_records([record]), timeout=timeout):
+            raise TimeoutError("timed out waiting for buffer space")
 
     def try_put(self, record: SampleRecord) -> bool:
         """Non-blocking put; returns False when the buffer cannot accept data now."""
-        with self._lock:
-            if self._closed:
-                raise BufferClosedError("cannot put into a closed buffer")
-            if not self._can_put_locked():
-                return False
-            slots = self._take_slots_locked(1)
-            self._store.write_record(int(slots[0]), record)
-            self.total_put += 1
-            self._lock.notify_all()
-            return True
+        return self.put_many(ColumnBatch.from_records([record]), timeout=0) == 1
 
-    def put_many(
-        self,
-        records: Union[Sequence[SampleRecord], ColumnBatch],
-        timeout: Optional[float] = None,
-    ) -> int:
-        """Insert many samples under a single lock acquisition.
+    def put_many(self, batch: ColumnBatch, timeout: Optional[float] = None) -> int:
+        """Insert a :class:`ColumnBatch` under a single lock acquisition.
 
-        Accepts a list of records or, on the hot path, a
-        :class:`ColumnBatch` whose rows are written into the column store
-        with one fancy-indexed write per column — no per-sample loop.
+        The rows are written into the column store with one fancy-indexed
+        write per column — no per-sample loop.
 
         Blocks while the buffer cannot accept more data, inserting in bulk
         whenever space frees up.  Returns the number of samples inserted:
@@ -217,34 +158,22 @@ class TrainingBuffer:
         waiting for space — the caller can retry with the remaining suffix,
         which is what lets the aggregator's shutdown path stay responsive.
 
-        Ownership contract: the dense store *copies* each inserted row into
-        its preallocated columns — for an adopted wire chunk this is the one
-        and only copy on the put side — so the caller's chunk is dead the
-        moment ``put_many`` returns and pins no memory.  (The ragged
-        object-rows fallback adopts row references instead; callers hand in
-        rows that stay immutable, as before.)
+        Ownership contract: the store *copies* each inserted row into its
+        preallocated columns — for an adopted wire chunk this is the one and
+        only copy on the put side — so the caller's chunk is dead the moment
+        ``put_many`` returns and pins no memory.
 
         Raises :class:`BufferClosedError` when the buffer is (or becomes)
-        closed, mirroring :meth:`put`.
+        closed, and :class:`RaggedBatchError`, with nothing inserted, when
+        the batch's widths differ from those of the samples already stored.
         """
-        if isinstance(records, ColumnBatch):
-            batch = records
-            total = len(batch)
-
-            def write(slots: Array, offset: int) -> None:
-                self._store.write_batch(slots, batch, offset)
-
-        else:
-            items = list(records)
-            total = len(items)
-
-            def write(slots: Array, offset: int) -> None:
-                self._store.write_records(slots, items, offset)
-
+        total = len(batch)
         inserted = 0
         with self._lock:
             if self._closed:
                 raise BufferClosedError("cannot put into a closed buffer")
+            if total:
+                self._store.admit(batch)
             while inserted < total:
                 if not self._lock.wait_for(
                     lambda: self._can_put_locked() or self._closed, timeout=timeout
@@ -256,7 +185,7 @@ class TrainingBuffer:
                 count = len(slots)
                 if count <= 0:  # defensive: a policy must accept >= 1 here
                     break
-                write(slots, inserted)
+                self._store.write_batch(slots, batch, inserted)
                 inserted += count
                 self.total_put += count
                 self._lock.notify_all()

@@ -29,6 +29,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.utils.exceptions import RaggedBatchError
+
 Array = np.ndarray
 
 __all__ = ["SampleRecord", "ColumnBatch", "ColumnStore"]
@@ -64,10 +66,10 @@ class ColumnBatch:
     """An arrival-ordered run of samples as parallel columns.
 
     ``inputs`` is ``(n, d_in)`` float64 and ``targets`` ``(n, d_out)``
-    float32 for the dense hot path; ragged ensembles (mixed parameter or
-    field lengths) degrade to 1-D object arrays holding one row array per
-    sample.  ``sequence_numbers`` is optional — the buffers do not store it,
-    so batches gathered from a store carry ``None``.
+    float32; every row of a batch has the same widths (a step run whose
+    widths change is split into several batches).  ``sequence_numbers`` is
+    optional — the buffers do not store it, so batches gathered from a store
+    carry ``None``.
 
     A batch owns its columns (or shares them with sibling slices); nothing
     downstream mutates them, which is what lets slices and row views be
@@ -106,11 +108,6 @@ class ColumnBatch:
             None if seq is None else seq[index],
         )
 
-    @property
-    def is_dense(self) -> bool:
-        """False for the ragged (object-rows) fallback representation."""
-        return self.inputs.dtype.kind != "O"
-
     def compatible_with(self, other: "ColumnBatch") -> bool:
         """True when ``other``'s rows could be rows of this batch (concat-safe)."""
         return (
@@ -138,10 +135,8 @@ class ColumnBatch:
     def records(self) -> List[SampleRecord]:
         """The per-sample compatibility view: one record per row.
 
-        Dense batches hand out row views sharing this batch's blocks, so a
-        batch of ``n`` records costs ``n`` small objects but zero copies —
-        and arrival-ordered record lists remain stackable back into the
-        underlying matrices without a copy (``contiguous_rows``).
+        Records hold row views sharing this batch's blocks, so a batch of
+        ``n`` records costs ``n`` small objects but zero copies.
         """
         ids = self.source_ids.tolist()
         steps = self.time_steps.tolist()
@@ -168,31 +163,22 @@ class ColumnBatch:
 
     @classmethod
     def from_records(cls, records: Sequence[SampleRecord]) -> "ColumnBatch":
-        """Columnise a record list (tests and benchmarks; not the hot path)."""
+        """Columnise a record list (one-row puts, tests and benchmarks).
+
+        Raises ``ValueError`` unless every record holds 1-D inputs and
+        targets of the same widths.
+        """
+        inputs = np.stack([np.asarray(r.inputs, dtype=np.float64) for r in records])
+        targets = np.stack([np.asarray(r.target, dtype=np.float32) for r in records])
+        if inputs.ndim != 2 or targets.ndim != 2:
+            raise ValueError("records must hold 1-D inputs and targets")
         count = len(records)
-        source_ids = np.fromiter((r.source_id for r in records), np.int64, count)
-        time_steps = np.fromiter((r.time_step for r in records), np.int64, count)
-        rows = [(np.asarray(r.inputs), np.asarray(r.target)) for r in records]
-        dense = count > 0 and all(
-            inp.ndim == 1
-            and tgt.ndim == 1
-            and inp.shape == rows[0][0].shape
-            and tgt.shape == rows[0][1].shape
-            for inp, tgt in rows
+        return cls(
+            inputs,
+            targets,
+            np.fromiter((r.source_id for r in records), np.int64, count),
+            np.fromiter((r.time_step for r in records), np.int64, count),
         )
-        if dense:
-            inputs = np.empty((count, rows[0][0].shape[0]), dtype=np.float64)
-            targets = np.empty((count, rows[0][1].shape[0]), dtype=np.float32)
-            for row, (inp, tgt) in enumerate(rows):
-                inputs[row] = inp
-                targets[row] = tgt
-        else:
-            inputs = np.empty(count, dtype=object)
-            targets = np.empty(count, dtype=object)
-            for row, (inp, tgt) in enumerate(rows):
-                inputs[row] = inp
-                targets[row] = tgt
-        return cls(inputs, targets, source_ids, time_steps)
 
 
 class ColumnStore:
@@ -205,12 +191,12 @@ class ColumnStore:
     lock acquisition, so a freed slot can never be overwritten before its
     row has been copied out.
 
-    The dense blocks are allocated lazily on the first write (row widths are
-    only known then).  Writes into the dense store copy the row data (cast
-    to the column dtypes); that is the single adoption copy of the put path.
-    Ragged ensembles — a row whose shape does not match the allocated
-    columns — migrate the store to 1-D object arrays holding one array per
-    row, which adopt row references instead (the pre-columnar behaviour).
+    The column blocks are allocated on the first write, since the row
+    widths are only known then, and fix the store's widths for good:
+    :meth:`admit` refuses a batch of other widths with
+    :class:`RaggedBatchError` before the policy allocates any slot for it.
+    Writes copy the row data (cast to the column dtypes); that is the single
+    adoption copy of the put path.
     """
 
     __slots__ = ("capacity", "inputs", "targets", "source_ids", "time_steps")
@@ -222,94 +208,30 @@ class ColumnStore:
         self.source_ids = np.full(self.capacity, -1, dtype=np.int64)
         self.time_steps = np.full(self.capacity, -1, dtype=np.int64)
 
-    @property
-    def object_rows(self) -> bool:
-        """True once the store fell back to per-row object storage."""
-        return self.inputs is not None and self.inputs.dtype.kind == "O"
-
-    # ------------------------------------------------------------- allocation
-    def _allocate(self, input_shape: Tuple[int, ...], target_shape: Tuple[int, ...]) -> None:
-        if len(input_shape) == 1 and len(target_shape) == 1:
-            self.inputs = np.empty((self.capacity, input_shape[0]), dtype=np.float64)
-            self.targets = np.empty((self.capacity, target_shape[0]), dtype=np.float32)
-        else:
-            self._to_object_rows()
-
-    def _to_object_rows(self) -> None:
-        """Degrade to one arbitrary array per row (mixed-shape ensembles)."""
-        inputs = np.empty(self.capacity, dtype=object)
-        targets = np.empty(self.capacity, dtype=object)
-        if self.inputs is not None and self.inputs.dtype.kind != "O":
-            # Live rows become views into the old dense blocks, which are
-            # never written again once replaced.
-            for slot in range(self.capacity):
-                inputs[slot] = self.inputs[slot]
-                targets[slot] = self.targets[slot]
-        elif self.inputs is not None:
-            inputs[:] = self.inputs
-            targets[:] = self.targets
-        self.inputs = inputs
-        self.targets = targets
-
-    def _fits(self, input_row: Array, target_row: Array) -> bool:
-        return (
-            input_row.ndim == 1
-            and target_row.ndim == 1
-            and input_row.shape[0] == self.inputs.shape[1]
-            and target_row.shape[0] == self.targets.shape[1]
-        )
-
-    # ----------------------------------------------------------------- writes
-    def _write_row(self, slot: int, input_row: Array, target_row: Array) -> None:
+    def admit(self, batch: ColumnBatch) -> None:
+        """Check that ``batch`` fits the columns, allocating them on first use."""
         if self.inputs is None:
-            self._allocate(np.shape(input_row), np.shape(target_row))
-        if not self.object_rows:
-            inp = np.asarray(input_row)
-            tgt = np.asarray(target_row)
-            if self._fits(inp, tgt):
-                self.inputs[slot] = inp
-                self.targets[slot] = tgt
-                return
-            self._to_object_rows()
-        self.inputs[slot] = input_row
-        self.targets[slot] = target_row
-
-    def write_record(self, slot: int, record: SampleRecord) -> None:
-        """Insert one record at ``slot`` (the per-sample compatibility path)."""
-        self._write_row(slot, record.inputs, record.target)
-        self.source_ids[slot] = record.source_id
-        self.time_steps[slot] = record.time_step
-
-    def write_records(self, slots: Array, records: Sequence[SampleRecord], offset: int = 0) -> None:
-        """Insert ``records[offset:offset + len(slots)]`` at ``slots``."""
-        for position, slot in enumerate(slots.tolist()):
-            self.write_record(slot, records[offset + position])
+            self.inputs = np.empty((self.capacity, batch.inputs.shape[1]), dtype=np.float64)
+            self.targets = np.empty((self.capacity, batch.targets.shape[1]), dtype=np.float32)
+        elif (
+            batch.inputs.shape[1] != self.inputs.shape[1]
+            or batch.targets.shape[1] != self.targets.shape[1]
+        ):
+            raise RaggedBatchError(
+                f"batch widths (inputs {batch.inputs.shape[1]}, targets "
+                f"{batch.targets.shape[1]}) differ from the buffer's (inputs "
+                f"{self.inputs.shape[1]}, targets {self.targets.shape[1]})"
+            )
 
     def write_batch(self, slots: Array, batch: ColumnBatch, offset: int = 0) -> None:
         """Insert ``batch[offset:offset + len(slots)]`` at ``slots``.
 
-        Matching dense shapes take the vectorized path: one fancy-indexed
-        write per column.  Anything else falls back to per-row writes (and
-        possibly an object-rows migration).
+        One fancy-indexed write per column; ``batch`` must have passed
+        :meth:`admit`.
         """
-        count = len(slots)
-        rows = slice(offset, offset + count)
-        inputs = batch.inputs
-        targets = batch.targets
-        if self.inputs is None and inputs.dtype.kind != "O":
-            self._allocate(inputs.shape[1:], targets.shape[1:])
-        if (
-            inputs.dtype.kind != "O"
-            and not self.object_rows
-            and inputs.shape[1] == self.inputs.shape[1]
-            and targets.shape[1] == self.targets.shape[1]
-        ):
-            self.inputs[slots] = inputs[rows]
-            self.targets[slots] = targets[rows]
-        else:
-            for position, slot in enumerate(slots.tolist()):
-                row = offset + position
-                self._write_row(slot, inputs[row], targets[row])
+        rows = slice(offset, offset + len(slots))
+        self.inputs[slots] = batch.inputs[rows]
+        self.targets[slots] = batch.targets[rows]
         self.source_ids[slots] = batch.source_ids[rows]
         self.time_steps[slots] = batch.time_steps[rows]
 
@@ -318,8 +240,7 @@ class ColumnStore:
         """Rows at ``slots`` as a fresh :class:`ColumnBatch`.
 
         Fancy indexing copies, so the returned batch owns its columns and
-        stays valid after the slots are recycled.  (Object-rows stores hand
-        out row references instead; those rows are rebound, never mutated.)
+        stays valid after the slots are recycled.
         """
         ids = self.source_ids[slots]
         steps = self.time_steps[slots]
@@ -333,13 +254,10 @@ class ColumnStore:
         return ColumnBatch(self.inputs[slots], self.targets[slots], ids, steps)
 
     def record_at(self, slot: int) -> SampleRecord:
-        """One row as a standalone record (dense rows are copied out)."""
-        if self.object_rows:
-            inputs = self.inputs[slot]
-            target = self.targets[slot]
-        else:
-            inputs = self.inputs[slot].copy()
-            target = self.targets[slot].copy()
+        """One row as a standalone record (the row is copied out)."""
         return SampleRecord(
-            inputs, target, int(self.source_ids[slot]), int(self.time_steps[slot])
+            self.inputs[slot].copy(),
+            self.targets[slot].copy(),
+            int(self.source_ids[slot]),
+            int(self.time_steps[slot]),
         )

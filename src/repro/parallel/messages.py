@@ -39,7 +39,8 @@ homogeneous packed batch into a single
 parses every header at once and the payload block is copied exactly once
 into the targets matrix the batch owns — without materialising any
 per-message Python object.  :func:`columnize` provides the same chunk shape
-for transports that carry message objects by reference, and
+for transports that carry message objects by reference,
+:func:`decode_columnar` is the one columnar decode of the wire backends, and
 :func:`column_batch_to_messages` converts back on the rare non-columnar
 leftover path.
 """
@@ -525,9 +526,10 @@ def unpack_columns(buffer) -> Optional[ColumnBatch]:
     of ``unpack_many(copy_payloads=True)``: the caller's buffer (a ring
     slot about to be recycled) can be released the moment this returns.
 
-    Returns ``None`` for mixed or ragged batches — callers fall back to
-    :func:`unpack_many`.  Raises :class:`WireFormatError` for buffers that
-    do not parse as a packed batch at all, exactly like :func:`unpack_many`.
+    Returns ``None`` for mixed or ragged batches — :func:`decode_columnar`
+    then falls back to :func:`unpack_many`.  Raises :class:`WireFormatError`
+    for buffers that do not parse as a packed batch at all, exactly like
+    :func:`unpack_many`.
     """
     if len(buffer) < _BATCH_HEADER.size:
         raise WireFormatError(f"buffer too short for batch header ({len(buffer)} bytes)")
@@ -562,7 +564,7 @@ def unpack_columns(buffer) -> Optional[ColumnBatch]:
         field_len = payload_len_list[0]
         if (n_params_list.count(width) != count
                 or payload_len_list.count(field_len) != count):
-            return None  # ragged run: per-message fallback handles it
+            return None  # ragged run: decode_columnar splits it
     else:
         if not (headers["type"] == _T_STEP).all():
             return None  # mixed batch whose header region size merely collides
@@ -571,7 +573,7 @@ def unpack_columns(buffer) -> Optional[ColumnBatch]:
         payload_len = headers["payload_len"]
         field_len = int(payload_len[0])
         if not ((n_params == width).all() and (payload_len == field_len).all()):
-            return None  # ragged run: per-message fallback handles it
+            return None  # ragged run: decode_columnar splits it
     if total_params != count * width or total_payload != count * field_len:
         return None
     inputs = np.empty((count, width + 1), dtype=np.float64)
@@ -595,39 +597,24 @@ def unpack_columns(buffer) -> Optional[ColumnBatch]:
     )
 
 
-def _columnize_run(run: List[TimeStepMessage]) -> list:
-    """One consecutive step run -> ``[ColumnBatch]``, or the run itself if ragged."""
-    first = run[0]
-    width = len(first.parameters)
-    field_len = first.payload.size
-    for message in run:
-        payload = message.payload
-        if (
-            len(message.parameters) != width
-            or payload.dtype != np.float32
-            or payload.ndim != 1
-            or payload.size != field_len
-        ):
-            return run
+def _columnize_run(run: List[TimeStepMessage]) -> ColumnBatch:
+    """One consecutive step run of equal widths -> one owned ``ColumnBatch``."""
     count = len(run)
+    width = len(run[0].parameters)
     inputs = np.empty((count, width + 1), dtype=np.float64)
     if width:
         inputs[:, :width] = [message.parameters for message in run]
     inputs[:, width] = [message.time_value for message in run]
-    targets = np.empty((count, field_len), dtype=np.float32)
+    targets = np.empty((count, run[0].payload.size), dtype=np.float32)
     for index, message in enumerate(run):
         targets[index] = message.payload
-    return [
-        ColumnBatch(
-            inputs=inputs,
-            targets=targets,
-            source_ids=np.fromiter((m.client_id for m in run), np.int64, count),
-            time_steps=np.fromiter((m.time_step for m in run), np.int64, count),
-            sequence_numbers=np.fromiter(
-                (m.sequence_number for m in run), np.int64, count
-            ),
-        )
-    ]
+    return ColumnBatch(
+        inputs=inputs,
+        targets=targets,
+        source_ids=np.fromiter((m.client_id for m in run), np.int64, count),
+        time_steps=np.fromiter((m.time_step for m in run), np.int64, count),
+        sequence_numbers=np.fromiter((m.sequence_number for m in run), np.int64, count),
+    )
 
 
 def columnize(messages: Sequence[Message]) -> list:
@@ -636,23 +623,46 @@ def columnize(messages: Sequence[Message]) -> list:
     The object-transport counterpart of :func:`unpack_columns`: backends
     that carry message objects by reference (the in-process router) deliver
     drained chunks in the same columnar shape as the wire transports, so the
-    aggregator has a single hot-path representation.  Control messages pass
-    through unchanged, in order; ragged runs (mixed parameter or payload
-    lengths, non-float32 payloads) stay as plain messages.
+    aggregator has a single representation.  A run is split wherever its
+    parameter or payload width changes, so every chunk is dense and no
+    :class:`TimeStepMessage` is returned; control messages pass through
+    unchanged, in order.
     """
     out: list = []
     run: List[TimeStepMessage] = []
+    widths: Tuple[int, int] = (0, 0)
     for message in messages:
         if type(message) is TimeStepMessage:
+            key = (len(message.parameters), message.payload.size)
+            if run and key != widths:
+                out.append(_columnize_run(run))
+                run = []
+            widths = key
             run.append(message)
             continue
         if run:
-            out.extend(_columnize_run(run))
+            out.append(_columnize_run(run))
             run = []
         out.append(message)
     if run:
-        out.extend(_columnize_run(run))
+        out.append(_columnize_run(run))
     return out
+
+
+def decode_columnar(buffer) -> list:
+    """Decode one packed batch into ``ColumnBatch`` chunks and control messages.
+
+    The columnar decode of every wire backend: a homogeneous step batch
+    takes the :func:`unpack_columns` fast path; any other batch (control
+    messages mixed in, or step widths that change) is unpacked per message
+    and regrouped by :func:`columnize`.  Either way the chunks own their
+    columns, so ``buffer`` can be released as soon as this returns.  Raises
+    :class:`WireFormatError` like :func:`unpack_many`.
+    """
+    chunk = unpack_columns(buffer)
+    if chunk is not None:
+        return [chunk]
+    return columnize(unpack_many(buffer, copy_payloads=True))
 
 
 def column_batch_to_messages(batch: ColumnBatch) -> List[TimeStepMessage]:

@@ -115,12 +115,6 @@ class MultiprocessTransport(PackedDrainMixin, Transport):
     exactly one aggregator thread, so the deque needs no lock).
     """
 
-    #: Messages returned by :meth:`poll_many` own their payload memory: the
-    #: payload block of every packed batch is adopted with one copy at
-    #: deserialisation time, so downstream consumers may retain payload views
-    #: without pinning transport internals (see ``unpack_many``).
-    payloads_owned = True
-
     def __init__(self, num_server_ranks: int, max_queue_size: int = 10_000) -> None:
         if num_server_ranks <= 0:
             raise ValueError("num_server_ranks must be positive")

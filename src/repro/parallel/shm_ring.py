@@ -30,9 +30,9 @@ one process — and carries the packed wire format of
   ``torn_batches`` counter and surfaced through :class:`TransportStats`.
 * The reader *borrows* a committed slot as a memoryview
   (:meth:`ShmRing.try_read_view`), deserialises it in place with
-  ``unpack_many(view, copy_payloads=True)`` — one block copy adopts every
-  payload — and only then advances the read cursor, so the slot is never
-  recycled under a live view.
+  :func:`repro.parallel.messages.decode_columnar` — one block copy adopts
+  every payload — and only then advances the read cursor, so the slot is
+  never recycled under a live view.
 * Readers use a **busy-wait-then-park hybrid wakeup**: a short spin (the
   common case — data arrives within microseconds under load), then a parked
   wait on a per-rank ``multiprocessing.Semaphore`` gated by a
@@ -90,8 +90,8 @@ from repro.parallel.messages import (
     Message,
     TimeStepMessage,
     WireFormatError,
+    decode_columnar,
     plan_many,
-    unpack_columns,
     unpack_many,
 )
 from repro.parallel.mp_transport import MultiprocessTransport
@@ -904,13 +904,11 @@ class ShmRingTransport(MultiprocessTransport):
                 batch: Optional[list] = None
                 try:
                     # In-place deserialisation of the borrowed slot; the one
-                    # payload-block copy transfers ownership to the chunk (or
+                    # payload-block copy transfers ownership to the chunks (or
                     # messages), so the slot can be recycled immediately.
                     if columnar:
-                        chunk = unpack_columns(view)
-                        if chunk is not None:
-                            batch = [chunk]
-                    if batch is None:
+                        batch = decode_columnar(view)
+                    else:
                         batch = unpack_many(view, copy_payloads=True)
                 except (WireFormatError, struct.error):
                     logger.warning("rank %d: discarding unparsable ring batch", rank, exc_info=True)

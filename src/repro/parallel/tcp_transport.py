@@ -21,11 +21,12 @@ compression (zlib/lz4) kicks in only when it shrinks the payload.
 Server side: the front door enqueues received frames on per-rank
 ``queue.Queue`` channels; the aggregator threads drain them through the
 shared :class:`repro.parallel.transport.PackedDrainMixin` machinery, where
-the frame body is inflated and decoded (columnar chunk first, per-message
-fallback).  Traffic statistics are recorded at decode time in the server
-process; drops that happen inside a forked client process (send timeout,
-connection loss) are counted in that process's copy of the stats and
-surface server-side as torn or missing frames instead.
+the frame body is inflated and decoded into columnar chunks
+(:func:`repro.parallel.messages.decode_columnar`).  Traffic statistics are
+recorded at decode time in the server process; drops that happen inside a
+forked client process (send timeout, connection loss) are counted in that
+process's copy of the stats and surface server-side as torn or missing
+frames instead.
 """
 
 from __future__ import annotations
@@ -148,11 +149,6 @@ class TcpTransport(PackedDrainMixin, Transport):
     connect_timeout:
         Client-side bound on establishing a connection.
     """
-
-    #: Frame bodies are decoded with one adoption copy per batch
-    #: (``unpack_many(copy_payloads=True)`` / ``unpack_columns``), so polled
-    #: messages own their payload memory outright.
-    payloads_owned = True
 
     def __init__(
         self,

@@ -41,7 +41,7 @@ from repro.parallel.messages import (
     WireFormatError,
     column_batch_to_messages,
     columnize,
-    unpack_columns,
+    decode_columnar,
     unpack_many,
 )
 from repro.utils.constants import (
@@ -106,18 +106,6 @@ class Transport:
 
     num_server_ranks: int
 
-    #: Ownership contract of polled messages: when True, every payload array
-    #: handed out by :meth:`poll_many` is owned by the message (retaining it
-    #: does not pin a transport buffer that will be reused or that holds
-    #: unrelated data), so consumers may adopt the views without copying.
-    #: Backends that hand out borrowed views must leave this False.  Columnar
-    #: chunks are stricter still: a ``ColumnBatch`` returned by
-    #: :meth:`poll_batches` always owns its column arrays outright — wire
-    #: backends copy the payload block exactly once while decoding (the
-    #: adoption copy), and the flag only tells consumers whether *plain
-    #: message* payloads need a defensive copy.
-    payloads_owned = False
-
     # ----------------------------------------------------------------- client
     def connect(self, client_id: int, batch_size: int = 1) -> "Connection":
         """Create a connection handle for a client (all server ranks reachable)."""
@@ -173,9 +161,10 @@ class Transport:
 
         Returns a mixed list of control :class:`Message` objects and
         :class:`repro.buffers.columns.ColumnBatch` chunks in arrival order;
-        a chunk of ``n`` samples counts ``n`` messages toward
-        ``max_messages``.  Every returned chunk owns its columns (see
-        :attr:`payloads_owned`).  The default implementation groups the
+        a rank drained only through this method never yields a
+        :class:`TimeStepMessage`.  A chunk of ``n`` samples counts ``n``
+        messages toward ``max_messages``.  Every returned chunk owns its
+        columns.  The default implementation groups the
         object-polled messages with
         :func:`repro.parallel.messages.columnize`; wire backends override
         the decode to build the chunks straight from the packed batch,
@@ -221,8 +210,9 @@ class PackedDrainMixin:
     budget therefore rarely lines up with batch boundaries.  This mixin
     implements the budgeted drain — block for the first batch only, then
     drain without blocking, park the overshoot in a per-rank leftover deque —
-    plus the shared packed-buffer decode (columnar chunk first, per-message
-    fallback, corrupt buffers dropped and counted).
+    plus the shared packed-buffer decode (columnar chunks via
+    :func:`repro.parallel.messages.decode_columnar`, corrupt buffers dropped
+    and counted).
 
     A concrete backend provides:
 
@@ -244,9 +234,9 @@ class PackedDrainMixin:
 
     def poll_batches(self, rank: int, max_messages: int = 64,
         timeout: float | None = 0.05) -> list:
-        """Columnar drain: homogeneous packed batches decode straight into
-        :class:`ColumnBatch` chunks (no per-message objects); control
-        messages and ragged batches arrive as plain messages, in order.
+        """Columnar drain: packed batches decode into :class:`ColumnBatch`
+        chunks, with control messages interleaved in order (see
+        :func:`repro.parallel.messages.decode_columnar`).
         """
         return self._poll_items(rank, max_messages, timeout, columnar=True)
 
@@ -316,7 +306,7 @@ class PackedDrainMixin:
         raise NotImplementedError
 
     def _decode_packed(self, buffer, rank: int, columnar: bool) -> list:
-        """Decode one packed batch buffer into messages or a columnar chunk.
+        """Decode one packed batch buffer into messages or columnar chunks.
 
         An unparsable buffer (a client killed mid-write can tear the byte
         stream) is counted as one dropped batch and skipped instead of
@@ -324,9 +314,7 @@ class PackedDrainMixin:
         """
         try:
             if columnar:
-                chunk = unpack_columns(buffer)
-                if chunk is not None:
-                    return [chunk]
+                return decode_columnar(buffer)
             # copy_payloads: one block copy lets the channel buffer be freed
             # immediately instead of being pinned by every retained payload
             # view (the messages collectively own the copied block).
@@ -385,10 +373,6 @@ class MessageRouter(Transport):
         buffer" — the bound models that buffer's capacity; pushes block when
         the queue is full, mimicking ZMQ's high-water-mark back-pressure.
     """
-
-    #: In-process messages are handed over by reference: the payload array a
-    #: client created belongs to the message object itself.
-    payloads_owned = True
 
     def __init__(self, num_server_ranks: int, max_queue_size: int = 10_000) -> None:
         if num_server_ranks <= 0:

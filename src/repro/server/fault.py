@@ -25,24 +25,14 @@ class MessageLog:
         self._duplicates = 0
         self._lock = threading.Lock()
 
-    def register(self, client_id: int, time_step: int) -> bool:
-        """Record a message; returns True if it is new, False if duplicate."""
-        with self._lock:
-            steps = self._received.setdefault(int(client_id), set())
-            if time_step in steps:
-                self._duplicates += 1
-                return False
-            steps.add(int(time_step))
-            return True
-
     def register_many(self, client_ids: np.ndarray,
                       time_steps: np.ndarray) -> Optional[np.ndarray]:
         """Record a columnar batch of ``(client_id, time_step)`` keys at once.
 
         Returns ``None`` when every key is new (the caller keeps the whole
         batch, no mask allocation), else a boolean keep-mask aligned with the
-        input vectors.  Duplicate accounting matches per-key
-        :meth:`register` exactly: each rejected key counts once.
+        input vectors.  Each rejected key counts once as a duplicate, also
+        when the same key repeats within the batch.
         """
         ids = client_ids.tolist()
         steps = time_steps.tolist()

@@ -9,7 +9,7 @@ from repro.utils.exceptions import (
     SchedulerError,
 )
 from repro.utils.seeding import SeedSequenceFactory, derive_rng, set_global_seed
-from repro.utils.timing import Stopwatch, Timer, VirtualClock, WallClock
+from repro.utils.timing import Stopwatch, VirtualClock, WallClock
 
 __all__ = [
     "ReproError",
@@ -21,7 +21,6 @@ __all__ = [
     "SeedSequenceFactory",
     "derive_rng",
     "set_global_seed",
-    "Timer",
     "Stopwatch",
     "WallClock",
     "VirtualClock",

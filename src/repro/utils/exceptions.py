@@ -13,6 +13,10 @@ class BufferClosedError(ReproError):
     """Raised when interacting with a training buffer after it was closed."""
 
 
+class RaggedBatchError(ReproError):
+    """Raised when a sample batch's widths differ from a training buffer's columns."""
+
+
 class CommunicatorError(ReproError):
     """Raised on invalid use of the SPMD communicator (bad rank, closed, ...)."""
 

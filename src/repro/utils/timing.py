@@ -1,4 +1,4 @@
-"""Wall-clock and virtual clocks, timers and stopwatches.
+"""Wall-clock and virtual clocks and stopwatches.
 
 Online-training experiments measure throughput against wall-clock time, while
 the discrete-event performance model (:mod:`repro.simulation`) advances a
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List
 
 
 class WallClock:
@@ -85,32 +84,3 @@ class Stopwatch:
 
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
-
-
-class Timer:
-    """Named timer registry used to profile the phases of a study."""
-
-    def __init__(self, clock: WallClock | None = None) -> None:
-        self._clock = clock or WallClock()
-        self._watches: Dict[str, Stopwatch] = {}
-        self._order: List[str] = []
-
-    def watch(self, name: str) -> Stopwatch:
-        """Return (creating if needed) the stopwatch called ``name``."""
-        if name not in self._watches:
-            self._watches[name] = Stopwatch(clock=self._clock)
-            self._order.append(name)
-        return self._watches[name]
-
-    def time(self, name: str) -> Stopwatch:
-        """Context manager timing a named phase: ``with timer.time("train"):``."""
-        return self.watch(name)
-
-    def elapsed(self, name: str) -> float:
-        """Total elapsed seconds recorded for ``name`` (0.0 if unknown)."""
-        watch = self._watches.get(name)
-        return watch.elapsed if watch is not None else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        """Mapping of phase name to elapsed seconds, in registration order."""
-        return {name: self._watches[name].elapsed for name in self._order}

@@ -32,6 +32,10 @@ def records(count):
     return [record(i) for i in range(count)]
 
 
+def chunk(items):
+    return ColumnBatch.from_records(items)
+
+
 def fill(buffer, count):
     for item in records(count):
         buffer.put(item)
@@ -173,7 +177,7 @@ def test_reservoir_put_many_evicts_only_seen_samples():
     fresh = [record(100 + i) for i in range(8)]
     for item in fresh:
         per_sample.put(item)
-    assert batched.put_many(fresh) == 8
+    assert batched.put_many(chunk(fresh)) == 8
 
     for buffer in (per_sample, batched):
         assert buffer.evicted_seen == 8
@@ -193,7 +197,7 @@ def test_reservoir_put_many_evicts_only_seen_samples():
 @pytest.mark.parametrize("kind", ["fifo", "firo", "reservoir"])
 def test_put_many_partial_insert_on_timeout(kind):
     buffer = make_buffer(kind, capacity=5, threshold=0, seed=0)
-    inserted = buffer.put_many(records(8), timeout=0.05)
+    inserted = buffer.put_many(chunk(records(8)), timeout=0.05)
     assert inserted == 5
     assert len(buffer) == 5
     assert buffer.total_put == 5
@@ -204,7 +208,7 @@ def test_put_many_blocks_until_consumer_frees_space():
     done = threading.Event()
 
     def producer():
-        assert buffer.put_many(records(10), timeout=5.0) == 10
+        assert buffer.put_many(chunk(records(10)), timeout=5.0) == 10
         done.set()
 
     thread = threading.Thread(target=producer, daemon=True)
@@ -224,7 +228,7 @@ def test_put_many_matches_per_sample_counters(kind):
     bulk = make_buffer(kind, capacity=300, threshold=0, seed=4)
     for item in records(150):
         one_by_one.put(item)
-    assert bulk.put_many(records(150)) == 150
+    assert bulk.put_many(chunk(records(150))) == 150
     assert one_by_one.snapshot() == bulk.snapshot()
 
 
@@ -238,16 +242,16 @@ def assert_batches_byte_identical(a: ColumnBatch, b: ColumnBatch) -> None:
 
 @pytest.mark.parametrize("kind", ["fifo", "firo", "reservoir"])
 def test_columnar_ingest_yields_byte_identical_batches(kind):
-    """Feeding ColumnBatch chunks and feeding their record views must be
-    indistinguishable: same RNG consumption, same slots, byte-identical
+    """Feeding ColumnBatch chunks and putting their records one by one must
+    be indistinguishable: same RNG consumption, same slots, byte-identical
     batches during reception and through the drain."""
     by_columns = make_buffer(kind, capacity=64, threshold=0, seed=7)
     by_records = make_buffer(kind, capacity=64, threshold=0, seed=7)
     items = records(48)
     for start in range(0, 48, 12):
-        chunk = ColumnBatch.from_records(items[start : start + 12])
-        assert by_columns.put_many(chunk) == 12
-        assert by_records.put_many(items[start : start + 12]) == 12
+        assert by_columns.put_many(chunk(items[start : start + 12])) == 12
+        for item in items[start : start + 12]:
+            by_records.put(item)
     for _ in range(4):  # reception-mode draws consume identical RNG streams
         a = by_columns.get_batch_columns(10, timeout=1.0)
         b = by_records.get_batch_columns(10, timeout=1.0)
@@ -273,9 +277,9 @@ def test_fifo_wraparound_preserves_columnar_arrival_order():
     cursor = 0
     drawn_cols, drawn_recs = [], []
     for put_count, get_count in [(10, 7), (7, 6), (6, 8), (7, 9)]:
-        chunk = ColumnBatch.from_records(items[cursor : cursor + put_count])
-        assert by_columns.put_many(chunk) == put_count
-        assert by_records.put_many(items[cursor : cursor + put_count]) == put_count
+        assert by_columns.put_many(chunk(items[cursor : cursor + put_count])) == put_count
+        for item in items[cursor : cursor + put_count]:
+            by_records.put(item)
         cursor += put_count
         a = by_columns.get_batch_columns(get_count, timeout=1.0)
         b = by_records.get_batch_columns(get_count, timeout=1.0)
@@ -286,8 +290,10 @@ def test_fifo_wraparound_preserves_columnar_arrival_order():
 
 
 def test_reservoir_columnar_eviction_matches_per_record():
-    """Algorithm 1's evict-only-seen rule is pure index arithmetic now; the
-    chunk insert must pick the same victims as the record insert."""
+    """Algorithm 1's evict-only-seen rule is pure index arithmetic now: a
+    chunk insert evicts as many seen samples as per-record puts do (the
+    victims differ, since one vectorized draw replaces eight scalar ones)
+    and writes every row into the slot it took."""
     by_columns = ReservoirBuffer(capacity=20, threshold=0, seed=9)
     by_records = ReservoirBuffer(capacity=20, threshold=0, seed=9)
     for buffer in (by_columns, by_records):
@@ -295,18 +301,22 @@ def test_reservoir_columnar_eviction_matches_per_record():
         while buffer.num_seen < 10:
             buffer.get(timeout=1.0)
     fresh = [record(100 + i) for i in range(8)]
-    assert by_columns.put_many(ColumnBatch.from_records(fresh)) == 8
-    assert by_records.put_many(fresh) == 8
+    assert by_columns.put_many(chunk(fresh)) == 8
+    for item in fresh:
+        by_records.put(item)
     assert by_columns.evicted_seen == by_records.evicted_seen == 8
     assert by_columns.snapshot() == by_records.snapshot()
     for buffer in (by_columns, by_records):
         buffer.signal_reception_over()
-    a = by_columns.get_batch_columns(20, timeout=1.0)
-    b = by_records.get_batch_columns(20, timeout=1.0)
-    assert_batches_byte_identical(a, b)
-    survivors = set(a.keys())
-    for item in fresh:  # unseen samples are never evicted
-        assert item.key() in survivors
+        drained = buffer.get_batch_columns(20, timeout=1.0)
+        assert len(drained) == 20
+        # Each row still holds the sample its key names (see ``record``).
+        np.testing.assert_array_equal(
+            drained.inputs[:, 0], drained.source_ids * 1000 + drained.time_steps
+        )
+        survivors = set(drained.keys())
+        for item in fresh:  # unseen samples are never evicted
+            assert item.key() in survivors
 
 
 # -------------------------------------------------------------- distribution

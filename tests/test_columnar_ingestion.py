@@ -1,12 +1,14 @@
 """Columnar ingestion: adoption semantics and the record compatibility view.
 
-The SoA data plane replaces per-message objects with :class:`ColumnBatch`
-chunks from the wire to the forward pass.  These tests pin its two
-contracts: an adopted chunk is copied **exactly once** into the column store
-(``Transport.payloads_owned`` semantics carried over), and
+The SoA data plane carries :class:`ColumnBatch` chunks from the wire to the
+forward pass.  These tests pin its contracts: an adopted chunk is copied
+**exactly once** into the column store, a chunk whose widths differ from the
+buffer's columns is refused and counted without stopping ingestion, and
 :class:`SampleRecord` remains available everywhere as a thin view over the
-columns — same fields, same ``key()``, zero extra copies for dense data.
+columns — same fields, same ``key()``, zero extra copies.
 """
+
+import logging
 
 import numpy as np
 import pytest
@@ -23,6 +25,10 @@ from repro.parallel.messages import (
     unpack_columns,
     unpack_many,
 )
+from repro.parallel.mp_transport import MultiprocessTransport
+from repro.parallel.transport import MessageRouter
+from repro.server.aggregator import DataAggregator
+from repro.server.fault import MessageLog
 
 FIELD_LEN = 6
 
@@ -156,12 +162,13 @@ def test_gathered_batches_survive_slot_recycling():
 
 @pytest.mark.parametrize("kind", ["fifo", "firo", "reservoir"])
 def test_column_insert_equals_record_insert(kind):
-    """Inserting a chunk and inserting its record view are indistinguishable."""
+    """Inserting a chunk and putting its records one by one are indistinguishable."""
     chunk = unpack_columns(pack_many(make_steps(12)))
     by_columns = make_buffer(kind, capacity=32, threshold=0, seed=11)
     by_records = make_buffer(kind, capacity=32, threshold=0, seed=11)
     assert by_columns.put_many(chunk) == 12
-    assert by_records.put_many(chunk.records()) == 12
+    for record in chunk.records():
+        by_records.put(record)
     assert by_columns.snapshot() == by_records.snapshot()
     for buffer in (by_columns, by_records):
         buffer.signal_reception_over()
@@ -173,24 +180,65 @@ def test_column_insert_equals_record_insert(kind):
     np.testing.assert_array_equal(a.time_steps, b.time_steps)
 
 
-def test_store_migrates_to_object_rows_for_ragged_samples():
-    store = ColumnStore(4)
-    store.write_record(0, SampleRecord(np.ones(3), np.ones(2, np.float32), 0, 0))
-    assert not store.object_rows
-    # A row of a different width forces the object-rows migration; the dense
-    # row written before must survive it.
-    store.write_record(1, SampleRecord(np.ones(5), np.ones(2, np.float32), 0, 1))
-    assert store.object_rows
-    np.testing.assert_array_equal(store.record_at(0).inputs, np.ones(3))
-    np.testing.assert_array_equal(store.record_at(1).inputs, np.ones(5))
-    batch = store.gather(np.array([0, 1]))
-    assert not batch.is_dense
-    assert [row.shape for row in batch.inputs] == [(3,), (5,)]
+def test_ragged_chunk_is_refused_counted_and_survived(caplog):
+    """A chunk whose target width differs from the buffer's columns is
+    dropped with a warning and counted; the chunks after it still land, and
+    routed = ingested + duplicates + dropped holds.  Fed once as separate
+    in-process messages (columnize) and once as one packed wire batch that
+    mixes control messages with a width change."""
+    steps = [
+        *make_steps(4),
+        *make_steps(3, start=4, field_len=FIELD_LEN + 2),
+        *make_steps(4, start=7),
+    ]
+    stream = [ClientHello(client_id=0), *steps, ClientFinished(client_id=0)]
+    inproc = MessageRouter(num_server_ranks=1)
+    for message in stream:
+        inproc.push(0, message)
+    wire = MultiprocessTransport(num_server_ranks=1)
+    try:
+        wire.push_many(0, stream)
+        for transport in (inproc, wire):
+            items = []
+            while len(items) < 5:
+                polled = transport.poll_batches(0, max_messages=64, timeout=5.0)
+                assert polled, "transport delivered nothing"
+                items.extend(polled)
+            assert not any(isinstance(item, TimeStepMessage) for item in items)
+            assert [len(item) for item in items[1:4]] == [4, 3, 4]
+
+            buffer = FIFOBuffer(capacity=64)
+            aggregator = DataAggregator(
+                rank=0,
+                router=transport,
+                buffer=buffer,
+                expected_clients=1,
+                message_log=MessageLog(),
+            )
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="repro.server.aggregator"):
+                aggregator._handle_items(items)
+            assert "dropping 3 samples" in caplog.text
+            stats = aggregator.stats
+            assert stats.samples_received == 8
+            assert stats.samples_dropped == 3
+            assert stats.duplicates_discarded == 0
+            routed = transport.stats.per_rank_messages[0] - 2  # minus hello/finished
+            accounted = stats.samples_received + stats.duplicates_discarded + stats.samples_dropped
+            assert routed == accounted == 11
+            assert stats.clients_finished == {0}
+            assert buffer.reception_over
+            batch = buffer.get_batch_columns(16, timeout=1.0)
+            assert batch.time_steps.tolist() == [0, 1, 2, 3, 7, 8, 9, 10]
+    finally:
+        wire.shutdown()
 
 
 def test_record_at_copies_dense_rows_out():
     store = ColumnStore(2)
-    store.write_record(0, SampleRecord(np.ones(3), np.ones(2, np.float32), 5, 9))
+    row = ColumnBatch.from_records([SampleRecord(np.ones(3), np.ones(2, np.float32), 5, 9)])
+    store.admit(row)
+    store.write_batch(np.array([0]), row)
     record = store.record_at(0)
     assert record.key() == (5, 9)
     store.inputs[0] = -1.0

@@ -1,5 +1,6 @@
 """Tests for the fault-tolerance primitives (message log, heartbeats, checkpointer)."""
 
+import numpy as np
 import pytest
 
 from repro.nn import Adam, MLPConfig, build_mlp, state_dict_equal
@@ -8,12 +9,17 @@ from repro.server.fault import HeartbeatMonitor, MessageLog
 from repro.utils.exceptions import CheckpointError
 
 
+def register(log, client_id, time_step):
+    """One key through ``register_many``; True when the key was new."""
+    return log.register_many(np.array([client_id]), np.array([time_step])) is None
+
+
 def test_message_log_deduplicates():
     log = MessageLog()
-    assert log.register(1, 1)
-    assert log.register(1, 2)
-    assert not log.register(1, 1)  # duplicate after client restart
-    assert log.register(2, 1)      # other client, same step index: not a duplicate
+    assert register(log, 1, 1)
+    assert register(log, 1, 2)
+    assert not register(log, 1, 1)  # duplicate after client restart
+    assert register(log, 2, 1)      # other client, same step index: not a duplicate
     assert log.duplicates_discarded == 1
     assert log.count(1) == 2
     assert log.received_steps(1) == {1, 2}
@@ -22,12 +28,12 @@ def test_message_log_deduplicates():
 def test_message_log_state_roundtrip():
     log = MessageLog()
     for step in range(5):
-        log.register(7, step)
+        register(log, 7, step)
     state = log.state()
     restored = MessageLog()
     restored.restore(state)
     assert restored.received_steps(7) == set(range(5))
-    assert not restored.register(7, 3)
+    assert not register(restored, 7, 3)
 
 
 def test_heartbeat_monitor_detects_silent_clients():
@@ -63,7 +69,7 @@ def test_server_checkpointer_save_restore(tmp_path):
     model = _model()
     optimizer = Adam(model.parameters(), lr=1e-3)
     log = MessageLog()
-    log.register(0, 1)
+    register(log, 0, 1)
     checkpointer = ServerCheckpointer(directory=tmp_path, interval_batches=10, rank=0)
     assert not checkpointer.should_checkpoint(5)
     assert checkpointer.should_checkpoint(10)
@@ -77,7 +83,7 @@ def test_server_checkpointer_save_restore(tmp_path):
     )
     assert metadata["batches_trained"] == 10
     assert state_dict_equal(model.state_dict(), fresh_model.state_dict())
-    assert not fresh_log.register(0, 1)  # dedup state survived the restart
+    assert not register(fresh_log, 0, 1)  # dedup state survived the restart
 
 
 def test_server_checkpointer_prunes_old_generations(tmp_path):

@@ -299,15 +299,15 @@ def test_corrupt_batch_buffer_is_dropped_not_fatal(transport):
 def test_buffered_records_do_not_pin_the_packed_batch(transport):
     """Aggregated samples never alias the wire buffer.
 
-    The transport's deserialisation copies the payload block **once**
-    (``unpack_many(..., copy_payloads=True)``); the aggregator then adopts
-    the resulting views without further copies, so every record of the chunk
-    shares one privately owned block — and none of them reference the packed
+    A batch that does not decode straight into one chunk is unpacked with
+    one payload-block copy (``unpack_many(..., copy_payloads=True)``) and
+    regrouped into a chunk by ``columnize``; the buffer copies the chunk's
+    rows into its own columns, so no drawn record references the packed
     transport buffer, which can be released immediately.
     """
     import numpy as np
 
-    from repro.parallel.messages import pack_many, unpack_many
+    from repro.parallel.messages import columnize, pack_many, unpack_many
 
     aggregator, buffer = make_aggregator(transport)
     wire_buffer = pack_many(
@@ -315,13 +315,13 @@ def test_buffered_records_do_not_pin_the_packed_batch(transport):
             for step in range(4)]
     )
     batch = unpack_many(wire_buffer, copy_payloads=True)
-    aggregator._handle_many(batch)
+    aggregator._handle_items(columnize(batch))
     records = buffer.get_batch(4, timeout=1.0)
     assert len(records) == 4
     wire = np.frombuffer(wire_buffer, dtype=np.uint8)
     for record in records:
         assert not np.shares_memory(record.target, wire)
-    # One batched copy, not four: the records share a single adopted block.
+    # One gathered block, not four: the records share the drawn batch's targets.
     block = records[0].target.base
     assert block is not None
     assert all(record.target.base is block for record in records)
@@ -329,10 +329,11 @@ def test_buffered_records_do_not_pin_the_packed_batch(transport):
 
 # ------------------------------------------------- columnar counter parity
 def test_columnar_drain_keeps_dedup_and_drop_counters_identical(transport):
-    """The vectorised dedup/liveness bookkeeping of the columnar path must
-    count exactly like the per-message loop: same duplicates_discarded, same
-    samples_received, same MessageLog totals, for the same resent stream."""
-    from repro.parallel.messages import pack_many, unpack_columns, unpack_many
+    """The vectorised dedup/liveness bookkeeping must count the same whether
+    a chunk is decoded straight from the wire or regrouped from unpacked
+    messages: same duplicates_discarded, same samples_received, same
+    MessageLog totals, for the same resent stream."""
+    from repro.parallel.messages import columnize, pack_many, unpack_columns, unpack_many
 
     steps = [
         TimeStepMessage(client_id=0, time_step=step, time_value=step * 0.1,
@@ -340,25 +341,25 @@ def test_columnar_drain_keeps_dedup_and_drop_counters_identical(transport):
         for step in range(20)
     ]
     resent = steps[:12]  # a restarted client resends a prefix
-    per_record, _ = make_aggregator(transport)
+    regrouped, _ = make_aggregator(transport)
     columnar, _ = make_aggregator(transport)
 
-    per_record._handle_many(list(unpack_many(pack_many(steps), copy_payloads=True)))
-    per_record._handle_many(list(unpack_many(pack_many(resent), copy_payloads=True)))
+    regrouped._handle_items(columnize(unpack_many(pack_many(steps), copy_payloads=True)))
+    regrouped._handle_items(columnize(unpack_many(pack_many(resent), copy_payloads=True)))
     columnar._handle_items([unpack_columns(pack_many(steps))])
     columnar._handle_items([unpack_columns(pack_many(resent))])
 
-    assert columnar.stats.samples_received == per_record.stats.samples_received == 20
-    assert columnar.stats.duplicates_discarded == per_record.stats.duplicates_discarded == 12
-    assert columnar.stats.clients_seen == per_record.stats.clients_seen
+    assert columnar.stats.samples_received == regrouped.stats.samples_received == 20
+    assert columnar.stats.duplicates_discarded == regrouped.stats.duplicates_discarded == 12
+    assert columnar.stats.clients_seen == regrouped.stats.clients_seen
     assert (columnar.message_log.duplicates_discarded
-            == per_record.message_log.duplicates_discarded == 12)
-    assert columnar.message_log.state() == per_record.message_log.state()
+            == regrouped.message_log.duplicates_discarded == 12)
+    assert columnar.message_log.state() == regrouped.message_log.state()
 
 
 def test_columnar_drain_counts_partial_duplicates_per_key(transport):
-    """A chunk mixing new and duplicate keys splits exactly like the loop
-    (one duplicate counted per rejected key, the rest inserted)."""
+    """A chunk mixing new and duplicate keys is split per key (one
+    duplicate counted per rejected key, the rest inserted)."""
     from repro.parallel.messages import pack_many, unpack_columns
 
     aggregator, buffer = make_aggregator(transport)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.timing import Stopwatch, Timer, VirtualClock, WallClock
+from repro.utils.timing import Stopwatch, VirtualClock, WallClock
 
 
 def test_wall_clock_monotonic():
@@ -62,19 +62,3 @@ def test_stopwatch_reset():
         clock.advance(1.0)
     watch.reset()
     assert watch.elapsed == 0.0
-
-
-def test_timer_registry_and_summary():
-    clock = VirtualClock()
-    timer = Timer(clock=clock)
-    with timer.time("generation"):
-        clock.advance(4.0)
-    with timer.time("training"):
-        clock.advance(6.0)
-    with timer.time("training"):
-        clock.advance(1.0)
-    summary = timer.summary()
-    assert list(summary) == ["generation", "training"]
-    assert summary["generation"] == pytest.approx(4.0)
-    assert summary["training"] == pytest.approx(7.0)
-    assert timer.elapsed("unknown") == 0.0
